@@ -19,7 +19,6 @@ import enum
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Sequence
 
 from .errors import (
@@ -55,9 +54,9 @@ from .morphisms import (
     evaluate,
     index_orbits,
     linear_part,
+    per_morphism,
     stabilizer,
     translation_component,
-    validate,
 )
 from .wreath import Permutation, WreathElement, compose, conjugate, cycle_of, power
 
@@ -134,7 +133,7 @@ def representative_set(
     return out
 
 
-@lru_cache(maxsize=4096)
+@per_morphism
 def check_necessary(psi: TorusMorphism) -> Verdict:
     """Scan for a divisibility obstruction to affineness.
 
@@ -143,7 +142,6 @@ def check_necessary(psi: TorusMorphism) -> Verdict:
     returned as the witness.  Passing is necessary for affineness of any
     morphism and sufficient for irreducible ones.
     """
-    validate(psi)
     for orbit in index_orbits(psi).orbits:
         for z in representative_set(psi, orbit):
             moved = evaluate(psi, z)
@@ -169,7 +167,6 @@ def scan_full_box(psi: TorusMorphism, multiplier: int = 2) -> Verdict:
     matrices: divisibility is tested directly on the translations of powers.
     Used to cross-validate the production scan.
     """
-    validate(psi)
     orders = basis_orders(psi)
     tables = []
     for j, order in enumerate(orders):
@@ -219,7 +216,6 @@ def affine_data(psi: TorusMorphism) -> tuple[RatMat, tuple[RatVec, ...]]:
     This never needs the divisibility condition; without it the points are
     simply not pairwise distinct modulo Z^k.
     """
-    validate(psi)
     report = index_orbits(psi)
     if not report.irreducible:
         raise NotIrreducible("affine data is only defined per irreducible morphism")
@@ -309,9 +305,7 @@ def induced_morphism(
                 )
             trans.append(to_intvec(value))
         images.append(WreathElement(k, n, tuple(trans), perm))
-    psi = TorusMorphism(k, n, tuple(images))
-    validate(psi)
-    return psi
+    return TorusMorphism(k, n, tuple(images))
 
 
 def diagnose_realization(
@@ -355,7 +349,6 @@ def cycle_condition_violations(
     Scans the per-orbit representative vectors.  Any hit implies the
     necessary condition fails, which is asserted before returning.
     """
-    validate(psi)
     out = []
     for orbit in index_orbits(psi).orbits:
         members = set(orbit)
@@ -380,7 +373,6 @@ def torsion_witness(psi: TorusMorphism) -> IntVec | None:
     is.  So it suffices to inspect the permutation parts of the kernel
     generators.
     """
-    validate(psi)
     stacked = mat_stack(linear_part(psi, i) for i in range(1, psi.n + 1))
     kernel = integer_kernel(stacked)
     for generator in kernel.rows:
@@ -399,13 +391,10 @@ def has_torsion_image(psi: TorusMorphism) -> bool:
 
 def conjugate_morphism(psi: TorusMorphism, deck: WreathElement) -> TorusMorphism:
     """Conjugate every basis image by a deck element; models changing the lift."""
-    validate(psi)
     if deck.k != psi.k or deck.n != psi.n:
         raise DimensionMismatch("deck element has wrong dimensions")
     images = tuple(conjugate(deck, im) for im in psi.images)
-    result = TorusMorphism(psi.k, psi.n, images)
-    validate(result)
-    return result
+    return TorusMorphism(psi.k, psi.n, images)
 
 
 def rebase_lift(
@@ -422,7 +411,6 @@ def rebase_lift(
     is psi conjugated by a pure-translation deck element, so permutation
     data, stabilizers and translations on stabilizers are unchanged.
     """
-    validate(psi)
     z = intvec(z)
     parts = [intvec(p) for p in decomposition]
     moved = evaluate(psi, z)

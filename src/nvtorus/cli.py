@@ -17,7 +17,7 @@ from fractions import Fraction
 from . import affine, constructions, nielsen, specio
 from .errors import ComponentNotAffine, NvTorusError
 from .lattices import lattice_index
-from .morphisms import decompose, index_orbits, linear_part, validate
+from .morphisms import decompose, index_orbits, linear_part
 
 
 def _fmt_vec(vec) -> str:
@@ -89,7 +89,6 @@ def cmd_validate(args) -> int:
 
 def cmd_analyze(args) -> int:
     psi = specio.load_morphism(args.file)
-    validate(psi)
     report = index_orbits(psi)
     torsion = affine.torsion_witness(psi)
     orbits_payload = []
@@ -141,7 +140,6 @@ def _decide_component(component, full_box_check: bool):
 
 def cmd_decide(args) -> int:
     psi = specio.load_morphism(args.file)
-    validate(psi)
     parts = decompose(psi)
     components_payload = []
     human = []

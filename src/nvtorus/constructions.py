@@ -32,7 +32,6 @@ from .morphisms import (
     basis_orders,
     index_orbits,
     pure_permutation_morphism,
-    validate,
 )
 from .wreath import Permutation, WreathElement
 
@@ -95,9 +94,7 @@ def translated_morphism(n: int) -> TorusMorphism:
     trans = tuple(((1, 0),) * n)
     first = WreathElement(2, n, trans, backward_cycle(n))
     second = WreathElement.identity(2, n)
-    psi = TorusMorphism(2, n, (first, second))
-    validate(psi)
-    return psi
+    return TorusMorphism(2, n, (first, second))
 
 
 def klein_four_morphism() -> TorusMorphism:
@@ -267,7 +264,6 @@ def epsilon_perturbation(
     dense sampling plus a 10% margin, and raised to any declared amplitude
     bound of the base; the policy is recorded in the metadata.
     """
-    validate(psi)
     base_psi = base.declared
     if psi.k != base_psi.k or psi.n != base_psi.n:
         raise BaseMismatch("base and target have different dimensions")
@@ -350,7 +346,6 @@ def verify(
     if grid < 2:
         raise BadParameters("grid must have at least 2 points per axis")
     psi = sampled.declared
-    validate(psi)
     if psi.k != sampled.k or psi.n != sampled.n:
         raise DimensionMismatch("declared morphism does not match the factors")
     inverses = [im.perm.inverse() for im in psi.images]

@@ -8,12 +8,19 @@ permutation group, slot stabilizers (finite-index sublattices of Z^k), cycle
 lengths, translation components and the rational matrix giving the linear
 behaviour of a translation component on its stabilizer, plus the splitting
 of a morphism into irreducible pieces, one per orbit.
+
+A `TorusMorphism` is checked when it is constructed: non-commuting basis
+images raise `NonCommutingImages`, so every instance is a valid morphism.
+Each morphism also keeps its own analysis (values, orbits, stabilizers,
+linear parts, decomposition and the divisibility scan of `affine`) for as
+long as it lives; nothing is cached per process.  `validate` stays public
+for callers who want an explicit check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import wraps
 from collections import deque
 from typing import Iterable, Sequence
 
@@ -43,7 +50,10 @@ from .wreath import Permutation, WreathElement, compose, cycle_of, power
 
 @dataclass(frozen=True)
 class TorusMorphism:
-    """A morphism given by the images of the k standard basis vectors."""
+    """A morphism given by the images of the k standard basis vectors.
+
+    Construction raises NonCommutingImages unless the images commute.
+    """
 
     k: int
     n: int
@@ -56,6 +66,7 @@ class TorusMorphism:
         for im in self.images:
             if im.k != self.k or im.n != self.n:
                 raise DimensionMismatch("basis image has wrong dimensions")
+        validate(self)
 
     @property
     def perms(self) -> tuple[Permutation, ...]:
@@ -69,12 +80,29 @@ def pure_permutation_morphism(k: int, perms: Sequence[Permutation]) -> TorusMorp
     images = tuple(
         WreathElement(k, n, tuple(zero_vec(k) for _ in range(n)), p) for p in perms
     )
-    psi = TorusMorphism(k, n, images)
-    validate(psi)
-    return psi
+    return TorusMorphism(k, n, images)
 
 
-@lru_cache(maxsize=65536)
+def per_morphism(func):
+    """Memoize ``func(psi, *args)`` on the morphism ``psi`` itself.
+
+    Results are stored in the instance's ``__dict__``, keyed by function name
+    and arguments, so they live exactly as long as the morphism and are never
+    looked up by hashing it.  A stored result must not refer back to ``psi``.
+    """
+    name = func.__name__
+
+    @wraps(func)
+    def wrapper(psi, *args):
+        memo = psi.__dict__.setdefault("_memo", {})
+        key = (name, args)
+        if key not in memo:
+            memo[key] = func(psi, *args)
+        return memo[key]
+
+    return wrapper
+
+
 def validate(psi: TorusMorphism) -> None:
     """Check that all basis images commute; raises NonCommutingImages if not."""
     for a in range(psi.k):
@@ -90,9 +118,8 @@ def evaluate(psi: TorusMorphism, z: Sequence[int]) -> WreathElement:
     return _evaluate(psi, intvec(z))
 
 
-@lru_cache(maxsize=65536)
+@per_morphism
 def _evaluate(psi: TorusMorphism, z: IntVec) -> WreathElement:
-    validate(psi)
     if len(z) != psi.k:
         raise DimensionMismatch(f"argument {z} does not have length {psi.k}")
     result = WreathElement.identity(psi.k, psi.n)
@@ -111,10 +138,9 @@ class OrbitReport:
     irreducible: bool
 
 
-@lru_cache(maxsize=4096)
+@per_morphism
 def index_orbits(psi: TorusMorphism) -> OrbitReport:
     """Orbits of 1..n under the group generated by the basis permutations."""
-    validate(psi)
     seen: set[int] = set()
     orbits = []
     for start in range(1, psi.n + 1):
@@ -140,7 +166,7 @@ def _orbit_of(psi: TorusMorphism, i: int) -> tuple[int, ...]:
     return tuple(sorted(seen))
 
 
-@lru_cache(maxsize=4096)
+@per_morphism
 def stabilizer(psi: TorusMorphism, i: int) -> LatticeBasis:
     """HNF basis of the sublattice of z with the permutation part of psi(z) fixing i.
 
@@ -148,7 +174,6 @@ def stabilizer(psi: TorusMorphism, i: int) -> LatticeBasis:
     gets a representative vector mapping i there, and every edge of the walk
     contributes a Schreier-style relation to the stabilizer lattice.
     """
-    validate(psi)
     if not 1 <= i <= psi.n:
         raise IndexOutOfRange(f"slot {i} outside 1..{psi.n}")
     reps: dict[int, IntVec] = {i: zero_vec(psi.k)}
@@ -182,7 +207,7 @@ def translation_component(psi: TorusMorphism, i: int, z: Sequence[int]) -> IntVe
     return evaluate(psi, z).trans[i - 1]
 
 
-@lru_cache(maxsize=4096)
+@per_morphism
 def linear_part(psi: TorusMorphism, i: int) -> RatMat:
     """The rational matrix A with A z equal to the slot-i translation of psi(z)
     for every z in the stabilizer of i.
@@ -190,7 +215,6 @@ def linear_part(psi: TorusMorphism, i: int) -> RatMat:
     The translation component restricted to the stabilizer is additive, so A
     exists; it is solved from the stabilizer basis and verified on it.
     """
-    validate(psi)
     lattice = stabilizer(psi, i)
     values = tuple(translation_component(psi, i, row) for row in lattice.rows)
     solution = solve_exact(ratmat(lattice.rows), ratmat(values))
@@ -203,21 +227,21 @@ def linear_part(psi: TorusMorphism, i: int) -> RatMat:
 
 def basis_orders(psi: TorusMorphism, indices: Iterable[int] | None = None) -> tuple[int, ...]:
     """Order of each basis permutation, restricted to ``indices`` when given."""
-    validate(psi)
     if indices is None:
         return tuple(p.order() for p in psi.perms)
     wanted = tuple(indices)
     return tuple(p.order_on(wanted) for p in psi.perms)
 
 
+@per_morphism
 def decompose(psi: TorusMorphism) -> tuple[tuple[TorusMorphism, tuple[int, ...]], ...]:
     """Split into one irreducible morphism per orbit.
 
     Each entry is ``(component, index_map)`` where ``index_map[local - 1]``
     is the original slot of local slot ``local``; locals are assigned in
-    ascending order of the original indices.
+    ascending order of the original indices.  Repeat calls return the same
+    component objects, so their analyses are shared.
     """
-    validate(psi)
     report = index_orbits(psi)
     out = []
     for orbit in report.orbits:
@@ -230,9 +254,7 @@ def decompose(psi: TorusMorphism) -> tuple[tuple[TorusMorphism, tuple[int, ...]]
             images.append(
                 WreathElement(psi.k, len(orbit), trans, Permutation(image))
             )
-        component = TorusMorphism(psi.k, len(orbit), tuple(images))
-        validate(component)
-        out.append((component, index_map))
+        out.append((TorusMorphism(psi.k, len(orbit), tuple(images)), index_map))
     return tuple(out)
 
 
@@ -252,6 +274,4 @@ def recompose(
         WreathElement(k, n, tuple(trans[j]), Permutation(tuple(image[j])))
         for j in range(k)
     )
-    psi = TorusMorphism(k, n, images)
-    validate(psi)
-    return psi
+    return TorusMorphism(k, n, images)

@@ -30,7 +30,7 @@ from .lattices import (
     mat_vec,
     ratmat,
 )
-from .morphisms import TorusMorphism, decompose, validate
+from .morphisms import TorusMorphism, decompose
 
 
 @dataclass(frozen=True)
@@ -74,7 +74,6 @@ def nielsen_of_morphism(psi: TorusMorphism) -> NielsenReport:
     is raised carrying the component position and the obstruction witness,
     since no formula applies to non-affine factors.
     """
-    validate(psi)
     breakdown = []
     det_by_slot: dict[int, Fraction] = {}
     for position, (component, index_map) in enumerate(decompose(psi)):

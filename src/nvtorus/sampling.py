@@ -38,8 +38,8 @@ from .morphisms import (
     TorusMorphism,
     evaluate,
     pure_permutation_morphism,
+    recompose,
     stabilizer,
-    validate,
 )
 from .wreath import Permutation, WreathElement
 
@@ -48,7 +48,11 @@ from .wreath import Permutation, WreathElement
 
 
 def abelian_structures(n: int) -> list[tuple[int, ...]]:
-    """Cyclic-factor shapes of every abelian group of order n."""
+    """Invariant factors (d_1, d_2, ...) of every abelian group of order n.
+
+    Each d_{i+1} divides d_i, so the number of factors is the least number
+    of generators of the group; n = 6 gives only (6,).
+    """
     if n == 1:
         return [()]
     factors = {}
@@ -76,9 +80,15 @@ def abelian_structures(n: int) -> list[tuple[int, ...]]:
         grown = []
         for shape in shapes:
             for part in partitions(exponent, exponent):
-                grown.append(shape + tuple(prime**e for e in part))
+                powers = (prime**e for e in part)
+                grown.append(
+                    tuple(
+                        a * b
+                        for a, b in itertools.zip_longest(shape, powers, fillvalue=1)
+                    )
+                )
         shapes = grown
-    return [tuple(sorted(s, reverse=True)) for s in shapes]
+    return shapes
 
 
 def _group_elements(shape: tuple[int, ...]) -> list[tuple[int, ...]]:
@@ -228,9 +238,7 @@ def random_morphism(
             tuple(coords[c][j * n + i] for c in range(k)) for i in range(n)
         )
         images.append(WreathElement(k, n, trans, perms[j]))
-    psi = TorusMorphism(k, n, tuple(images))
-    validate(psi)
-    return psi
+    return TorusMorphism(k, n, tuple(images))
 
 
 # ---------------------------------------------------------------------------
@@ -300,22 +308,10 @@ def random_reducible_affine(
     rng: random.Random, k: int, sizes: Sequence[int]
 ) -> TorusMorphism:
     """Direct sum of per-block affine-realizable morphisms on consecutive slots."""
-    n = sum(sizes)
-    trans = [[zero_vec(k)] * n for _ in range(k)]
-    image = [list(range(1, n + 1)) for _ in range(k)]
+    parts = []
     offset = 0
     for size in sizes:
         _, _, part = random_realization(rng, k, size)
-        for j in range(k):
-            im = part.images[j]
-            for local in range(1, size + 1):
-                trans[j][offset + local - 1] = im.trans[local - 1]
-                image[j][offset + local - 1] = offset + im.perm.apply(local)
+        parts.append((part, range(offset + 1, offset + size + 1)))
         offset += size
-    images = tuple(
-        WreathElement(k, n, tuple(trans[j]), Permutation(tuple(image[j])))
-        for j in range(k)
-    )
-    psi = TorusMorphism(k, n, images)
-    validate(psi)
-    return psi
+    return recompose(parts, k, sum(sizes))

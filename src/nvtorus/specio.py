@@ -28,7 +28,7 @@ from pathlib import Path
 from typing import Any
 
 from .errors import NonCommutingImages, SpecFormatError
-from .morphisms import TorusMorphism, validate
+from .morphisms import TorusMorphism
 from .wreath import Permutation, WreathElement
 
 
@@ -102,12 +102,10 @@ def morphism_from_dict(data: Any) -> TorusMorphism:
         except ValueError as exc:
             raise SpecFormatError(f"{where}.sigma: {exc}") from None
         images.append(WreathElement(k, n, tuple(trans), perm))
-    psi = TorusMorphism(k, n, tuple(images))
     try:
-        validate(psi)
+        return TorusMorphism(k, n, tuple(images))
     except NonCommutingImages as exc:
         raise SpecFormatError(f"images: {exc}") from None
-    return psi
 
 
 def dumps_morphism(psi: TorusMorphism) -> str:

@@ -1,10 +1,13 @@
+import gc
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nvtorus.affine import decide_affine_irreducible, torsion_witness
 from nvtorus.constructions import (
     cyclic_four_morphism,
     klein_four_morphism,
@@ -27,7 +30,12 @@ from nvtorus.morphisms import (
     translation_component,
     validate,
 )
-from nvtorus.sampling import random_morphism
+from nvtorus.nielsen import nielsen_of_morphism
+from nvtorus.sampling import (
+    random_morphism,
+    random_realization,
+    random_reducible_affine,
+)
 from nvtorus.wreath import Permutation, WreathElement, compose
 
 from helpers import box_vectors
@@ -311,3 +319,24 @@ def test_decompose_singletons():
 @settings(max_examples=60, deadline=None)
 def test_decompose_recompose_round_trip(psi):
     assert recompose(decompose(psi), psi.k, psi.n) == psi
+
+
+# -- per-morphism analysis ---------------------------------------------------
+
+
+def test_analysis_lives_and_dies_with_its_morphism():
+    _, _, psi = random_realization(random.Random(7), 2, 4)
+    decide_affine_irreducible(psi)
+    torsion_witness(psi)
+    nielsen_of_morphism(psi)
+    ref = weakref.ref(psi)
+    del psi
+    gc.collect()
+    assert ref() is None
+
+
+def test_decompose_returns_the_same_components():
+    psi = random_reducible_affine(random.Random(3), 2, [2, 1, 3])
+    first, second = decompose(psi), decompose(psi)
+    assert len(first) == 3
+    assert all(a[0] is b[0] for a, b in zip(first, second))
