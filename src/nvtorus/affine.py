@@ -3,20 +3,23 @@
 The central test is a divisibility condition: a slot i and a vector z
 outside the stabilizer of i obstruct affineness exactly when the slot-i
 translation of psi(L z), with L the cycle length of z through i, is
-divisible by L.  For irreducible morphisms the condition over a finite
-representative set is also sufficient, and a rational realization
-(one matrix, n translation points) can be constructed explicitly.
+divisible by L.  The test depends on z only modulo the stabilizer, so it is
+scanned over one vector per coset: n vectors for an orbit of n slots, not
+the box of permutation orders.  For irreducible morphisms the condition is
+also sufficient, and a rational realization (one matrix, n translation
+points) can be constructed explicitly from the same cosets.
 
 The module also detects the two coarser obstructions (equal translations
 along a cycle, torsion in the image), re-bases lifts by conjugating with
-deck translations, and can cross-validate the representative-set scan
-against a brute-force box scan.
+deck translations, and can cross-validate the coset scan against a
+brute-force box scan.
 """
 
 from __future__ import annotations
 
 import enum
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -34,6 +37,7 @@ from .lattices import (
     RatMat,
     RatVec,
     basis_vec,
+    coset_transversal,
     integer_kernel,
     intvec,
     is_integral,
@@ -133,39 +137,88 @@ def representative_set(
     return out
 
 
+def _values_on_box(psi: TorusMorphism, box: list[IntVec]) -> dict[IntVec, WreathElement]:
+    """psi(z) for every z of a lexicographic box that starts at the origin.
+
+    One `compose` per vector: for c the last nonzero entry of z, z - e_c is
+    in the box and comes earlier.
+    """
+    table: dict[IntVec, WreathElement] = {}
+    for z in box:
+        c = max((j for j, a in enumerate(z) if a), default=None)
+        if c is None:
+            table[z] = WreathElement.identity(psi.k, psi.n)
+        else:
+            table[z] = compose(table[z[:c] + (z[c] - 1,) + z[c + 1:]], psi.images[c])
+    return table
+
+
+def _preimage_of_one(value: WreathElement) -> int:
+    """The slot that the permutation part of ``value`` sends to slot 1."""
+    return value.perm.image.index(1) + 1
+
+
+@per_morphism
+def _orbit_linear_part(
+    psi: TorusMorphism, orbit: tuple[int, ...]
+) -> tuple[tuple[IntVec, ...], int]:
+    """The linear part of every slot of an orbit as ``(P, d)``, meaning A = P / d.
+
+    psi(s) for s in the stabilizer commutes with the images that carry one
+    slot of the orbit to another, so it fixes the whole orbit and translates
+    all its slots by the same vector.  That is checked here on the HNF rows,
+    and it makes the linear part of every slot equal to that of the first.
+    """
+    first = orbit[0]
+    for row in stabilizer(psi, first).rows:
+        value = evaluate(psi, row)
+        base = value.trans[first - 1]
+        if any(value.perm.apply(i) != i or value.trans[i - 1] != base for i in orbit):
+            raise AssertionError("stabilizer images differ across the slots of an orbit")
+    matrix = linear_part(psi, first)
+    d = math.lcm(*(a.denominator for row in matrix for a in row))
+    return tuple(tuple(int(a * d) for a in row) for row in matrix), d
+
+
 @per_morphism
 def check_necessary(psi: TorusMorphism) -> Verdict:
     """Scan for a divisibility obstruction to affineness.
 
-    Runs orbit by orbit; within an orbit the scan is lexicographic over the
-    representative vectors and then over the slots, and the first hit is
-    returned as the witness.  Passing is necessary for affineness of any
+    Runs orbit by orbit over one vector per coset of the orbit's stabilizer
+    (`coset_transversal`, lexicographic) and then over the slots; the first
+    hit is returned as the witness.  The test depends on z only through its
+    coset, and reducing a vector of the box `representative_set` into the
+    transversal never makes it larger lexicographically, so this is also the
+    first hit of the box.  Passing is necessary for affineness of any
     morphism and sufficient for irreducible ones.
     """
     for orbit in index_orbits(psi).orbits:
-        for z in representative_set(psi, orbit):
+        scaled, d = _orbit_linear_part(psi, orbit)
+        for z in coset_transversal(stabilizer(psi, orbit[0]))[1:]:
+            # A z is integral exactly when P z = 0 (mod d).
+            if any(sum(p * c for p, c in zip(row, z)) % d for row in scaled):
+                continue
             moved = evaluate(psi, z)
             for i in orbit:
                 if moved.perm.apply(i) == i:
                     continue
-                if is_integral(mat_vec(linear_part(psi, i), z)):
-                    length = cycle_of(moved.perm, i)[1]
-                    value = translation_component(psi, i, vec_scale(length, z))
-                    if any(v % length for v in value):
-                        raise AssertionError("witness failed its own recheck")
-                    return Verdict(
-                        Outcome.NECESSARY_FAILS,
-                        witness=Witness(i, z, length, value),
-                    )
+                length = cycle_of(moved.perm, i)[1]
+                value = translation_component(psi, i, vec_scale(length, z))
+                if any(v % length for v in value):
+                    raise AssertionError("witness failed its own recheck")
+                return Verdict(
+                    Outcome.NECESSARY_FAILS,
+                    witness=Witness(i, z, length, value),
+                )
     return Verdict(Outcome.NECESSARY_PASSES)
 
 
 def scan_full_box(psi: TorusMorphism, multiplier: int = 2) -> Verdict:
     """Brute-force variant of `check_necessary` over the box |z_j| <= multiplier * n_j.
 
-    Independent of the representative-set reduction and of the linear-part
-    matrices: divisibility is tested directly on the translations of powers.
-    Used to cross-validate the production scan.
+    Independent of the coset reduction and of the linear-part matrices:
+    divisibility is tested directly on the translations of powers.  Used to
+    cross-validate the production scan.
     """
     orders = basis_orders(psi)
     tables = []
@@ -211,10 +264,12 @@ def affine_data(psi: TorusMorphism) -> tuple[RatMat, tuple[RatVec, ...]]:
     """Matrix and translation points canonically attached to an irreducible morphism.
 
     The matrix is the linear part on the common stabilizer; the point of slot
-    (sigma_z)^-1(1) is A z minus the slot-1 translation of psi(z), which is
-    well defined, reaches every slot, and forces the first point to zero.
-    This never needs the divisibility condition; without it the points are
-    simply not pairwise distinct modulo Z^k.
+    (sigma_z)^-1(1) is A z minus the slot-1 translation of psi(z).  One z per
+    coset of the stabilizer (`coset_transversal`) reaches every slot; the
+    point is well defined, checked by shifting each z by the stabilizer's
+    HNF rows, and the first point is zero.  This never needs the
+    divisibility condition; without it the points are simply not pairwise
+    distinct modulo Z^k.
     """
     report = index_orbits(psi)
     if not report.irreducible:
@@ -223,21 +278,31 @@ def affine_data(psi: TorusMorphism) -> tuple[RatMat, tuple[RatVec, ...]]:
     for i in range(2, psi.n + 1):
         if stabilizer(psi, i) != common:
             raise AssertionError("stabilizers must coincide on a single orbit")
-    matrix = linear_part(psi, 1)
-    points: list[RatVec | None] = [None] * psi.n
-    for z in [zero_vec(psi.k)] + representative_set(psi):
-        moved = evaluate(psi, z)
-        target = moved.perm.inverse().apply(1)
-        candidate = tuple(
-            Fraction(a) - b for a, b in zip(mat_vec(matrix, z), moved.trans[0])
+    scaled, d = _orbit_linear_part(psi, report.orbits[0])
+
+    def candidate(z: IntVec, moved: WreathElement) -> RatVec:
+        return tuple(
+            Fraction(sum(p * c for p, c in zip(row, z)), d) - t
+            for row, t in zip(scaled, moved.trans[0])
         )
+
+    points: list[RatVec | None] = [None] * psi.n
+    values = _values_on_box(psi, coset_transversal(common)).items()
+    for z, moved in values:
+        target = _preimage_of_one(moved)
         if points[target - 1] is None:
-            points[target - 1] = candidate
-        elif points[target - 1] != candidate:
+            points[target - 1] = candidate(z, moved)
+        elif points[target - 1] != candidate(z, moved):
             raise AssertionError("translation points are not well defined")
     if any(p is None for p in points):
         raise AssertionError("representative sweep missed a slot")
-    return matrix, tuple(points)  # type: ignore[arg-type]
+    shifts = [(s, evaluate(psi, s)) for s in common.rows]
+    for z, moved in values:
+        for s, shift in shifts:
+            shifted = compose(moved, shift)
+            if points[_preimage_of_one(shifted) - 1] != candidate(vec_add(z, s), shifted):
+                raise AssertionError("translation points are not well defined")
+    return linear_part(psi, 1), tuple(points)  # type: ignore[arg-type]
 
 
 def construct_realization(psi: TorusMorphism) -> AffineRealization:

@@ -133,7 +133,7 @@ def _decide_component(component, full_box_check: bool):
         box = affine.scan_full_box(component)
         if box.failed != verdict.failed:
             raise NvTorusError(
-                "representative-set verdict disagrees with the full box scan"
+                "coset-scan verdict disagrees with the full box scan"
             )
     return verdict
 
@@ -306,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--full-box-check",
         action="store_true",
-        help="cross-validate the representative scan against a brute-force box scan",
+        help="cross-validate the coset scan against a brute-force box scan",
     )
     add_json(p)
     p.set_defaults(func=cmd_decide)

@@ -1,10 +1,11 @@
 """Exact integer and rational linear algebra.
 
 This module is the arithmetic substrate for the whole package: sublattices
-of Z^k kept in Hermite normal form, membership and index computations,
-exact rational linear solves and integer kernels.  There is no floating
-point anywhere; rationals are `fractions.Fraction`, which stays in lowest
-terms so equality is structural.
+of Z^k kept in Hermite normal form, membership, index and coset
+transversal computations, exact rational linear solves and integer
+kernels.  There is no floating point anywhere; rationals are
+`fractions.Fraction`, which stays in lowest terms so equality is
+structural.
 
 Vectors are plain tuples, matrices are tuples of row tuples.  All values
 are immutable and all functions are pure, so everything here is safe to
@@ -13,6 +14,7 @@ share between threads.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -274,6 +276,20 @@ def lattice_index(lattice: LatticeBasis) -> int | float:
     for row, piv in zip(lattice.rows, lattice.pivots):
         result *= row[piv]
     return result
+
+
+def coset_transversal(lattice: LatticeBasis) -> list[IntVec]:
+    """One vector per coset of a full-rank lattice: the box prod_c [0, pivot_c).
+
+    Listed in lexicographic order, starting at the origin, with exactly
+    `lattice_index` vectors.  Reducing a vector with nonnegative entries by
+    the HNF rows, column by column, lands in this box and never makes the
+    vector larger in lexicographic order.
+    """
+    if not lattice.is_full_rank:
+        raise Singular("a lattice below full rank has infinitely many cosets")
+    pivots = (row[c] for c, row in enumerate(lattice.rows))
+    return list(itertools.product(*(range(p) for p in pivots)))
 
 
 # ---------------------------------------------------------------------------

@@ -41,7 +41,6 @@ from .lattices import (
     ratmat,
     solve_exact,
     vec_add,
-    vec_scale,
     vec_sub,
     zero_vec,
 )
@@ -156,10 +155,11 @@ def index_orbits(psi: TorusMorphism) -> OrbitReport:
 def _orbit_of(psi: TorusMorphism, i: int) -> tuple[int, ...]:
     frontier = deque([i])
     seen = {i}
+    moves = [(p, p.inverse()) for p in psi.perms]
     while frontier:
         x = frontier.popleft()
-        for p in psi.perms:
-            for y in (p.apply(x), p.inverse().apply(x)):
+        for p, inverse in moves:
+            for y in (p.apply(x), inverse.apply(x)):
                 if y not in seen:
                     seen.add(y)
                     frontier.append(y)
@@ -179,17 +179,23 @@ def stabilizer(psi: TorusMorphism, i: int) -> LatticeBasis:
     reps: dict[int, IntVec] = {i: zero_vec(psi.k)}
     frontier = deque([i])
     relations: list[IntVec] = []
+    moves = [
+        (p, p.inverse(), basis_vec(psi.k, j)) for j, p in enumerate(psi.perms)
+    ]
     while frontier:
         x = frontier.popleft()
-        for j, p in enumerate(psi.perms):
-            for step, image in ((1, p.apply(x)), (-1, p.inverse().apply(x))):
-                vec = vec_add(reps[x], vec_scale(step, basis_vec(psi.k, j)))
+        for p, inverse, unit in moves:
+            for vec, image in (
+                (vec_add(reps[x], unit), p.apply(x)),
+                (vec_sub(reps[x], unit), inverse.apply(x)),
+            ):
                 if image not in reps:
                     reps[image] = vec
                     frontier.append(image)
                 else:
                     relations.append(vec_sub(vec, reps[image]))
-    lattice = hnf(relations, psi.k)
+    # The walk repeats many relations; the HNF does not depend on repeats.
+    lattice = hnf(dict.fromkeys(relations), psi.k)
     if not lattice.is_full_rank:
         raise AssertionError("stabilizer of a finite orbit must have finite index")
     return lattice
@@ -240,7 +246,9 @@ def decompose(psi: TorusMorphism) -> tuple[tuple[TorusMorphism, tuple[int, ...]]
     Each entry is ``(component, index_map)`` where ``index_map[local - 1]``
     is the original slot of local slot ``local``; locals are assigned in
     ascending order of the original indices.  Repeat calls return the same
-    component objects, so their analyses are shared.
+    component objects, so their analyses are shared.  A component equal to
+    psi (a single orbit) starts with psi's orbit report, stabilizers and
+    linear parts.
     """
     report = index_orbits(psi)
     out = []
@@ -254,8 +262,23 @@ def decompose(psi: TorusMorphism) -> tuple[tuple[TorusMorphism, tuple[int, ...]]
             images.append(
                 WreathElement(psi.k, len(orbit), trans, Permutation(image))
             )
-        out.append((TorusMorphism(psi.k, len(orbit), tuple(images)), index_map))
+        component = TorusMorphism(psi.k, len(orbit), tuple(images))
+        if len(orbit) == psi.n:
+            _share_analysis(psi, component)
+        out.append((component, index_map))
     return tuple(out)
+
+
+# Memoized results that hold no reference to their morphism, so an equal
+# morphism may reuse them.
+_SHAREABLE = frozenset({"index_orbits", "stabilizer", "linear_part"})
+
+
+def _share_analysis(source: TorusMorphism, target: TorusMorphism) -> None:
+    memo = target.__dict__.setdefault("_memo", {})
+    for key, value in source.__dict__.get("_memo", {}).items():
+        if key[0] in _SHAREABLE:
+            memo.setdefault(key, value)
 
 
 def recompose(

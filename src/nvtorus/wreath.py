@@ -198,11 +198,11 @@ def _check_compatible(a: WreathElement, b: WreathElement) -> None:
 def compose(a: WreathElement, b: WreathElement) -> WreathElement:
     """Group product: acting by ``compose(a, b)`` equals acting by b, then by a."""
     _check_compatible(a, b)
-    inv = a.perm.inverse()
-    trans = tuple(
-        vec_add(a.trans[i], b.trans[inv.apply(i + 1) - 1]) for i in range(a.n)
-    )
-    return WreathElement(a.k, a.n, trans, a.perm * b.perm)
+    # Slot a(j) receives b's translation of slot j.
+    trans: list = [None] * a.n
+    for j, i in enumerate(a.perm.image):
+        trans[i - 1] = vec_add(a.trans[i - 1], b.trans[j])
+    return WreathElement(a.k, a.n, tuple(trans), a.perm * b.perm)
 
 
 def invert(a: WreathElement) -> WreathElement:

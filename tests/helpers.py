@@ -8,9 +8,19 @@ way around.
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 
-from nvtorus.morphisms import TorusMorphism, evaluate
-from nvtorus.wreath import WreathElement, compose, invert
+from nvtorus.affine import Outcome, Verdict, Witness, representative_set
+from nvtorus.lattices import is_integral, mat_vec, vec_scale, zero_vec
+from nvtorus.morphisms import (
+    TorusMorphism,
+    evaluate,
+    index_orbits,
+    linear_part,
+    stabilizer,
+    translation_component,
+)
+from nvtorus.wreath import WreathElement, compose, cycle_of, invert
 
 
 def brute_force_contains(rows, k, v, bound=5):
@@ -71,3 +81,47 @@ def brute_force_torsion_witness(psi: TorusMorphism, bound: int = 3):
         if naive_power(value, value.perm.order()).is_identity:
             return z
     return None
+
+
+def box_check_necessary(psi: TorusMorphism) -> Verdict:
+    """The divisibility scan over the whole box `representative_set`.
+
+    Orbit by orbit, box vectors in lexicographic order, then slots; each
+    slot tests its own linear part with rational arithmetic.  The first hit
+    is the witness.
+    """
+    for orbit in index_orbits(psi).orbits:
+        for z in representative_set(psi, orbit):
+            moved = evaluate(psi, z)
+            for i in orbit:
+                if moved.perm.apply(i) == i:
+                    continue
+                if is_integral(mat_vec(linear_part(psi, i), z)):
+                    length = cycle_of(moved.perm, i)[1]
+                    value = translation_component(psi, i, vec_scale(length, z))
+                    return Verdict(
+                        Outcome.NECESSARY_FAILS, witness=Witness(i, z, length, value)
+                    )
+    return Verdict(Outcome.NECESSARY_PASSES)
+
+
+def box_affine_data(psi: TorusMorphism):
+    """Matrix and points of an irreducible morphism, swept over the whole box.
+
+    Every box vector z assigns A z minus the slot-1 translation of psi(z) to
+    slot sigma_z^-1(1); a slot that gets two different points raises.
+    """
+    assert index_orbits(psi).irreducible
+    assert all(stabilizer(psi, i) == stabilizer(psi, 1) for i in range(1, psi.n + 1))
+    matrix = linear_part(psi, 1)
+    points = [None] * psi.n
+    for z in [zero_vec(psi.k)] + representative_set(psi):
+        moved = evaluate(psi, z)
+        target = moved.perm.inverse().apply(1)
+        candidate = tuple(
+            Fraction(a) - b for a, b in zip(mat_vec(matrix, z), moved.trans[0])
+        )
+        assert points[target - 1] in (None, candidate)
+        points[target - 1] = candidate
+    assert None not in points
+    return matrix, tuple(points)

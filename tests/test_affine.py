@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nvtorus import affine, morphisms
 from nvtorus.affine import (
     AffineRealization,
     Outcome,
@@ -40,6 +41,7 @@ from nvtorus.lattices import lattice_contains, ratmat, ratvec
 from nvtorus.morphisms import (
     TorusMorphism,
     cycle_length,
+    decompose,
     evaluate,
     index_orbits,
     pure_permutation_morphism,
@@ -49,7 +51,12 @@ from nvtorus.morphisms import (
 from nvtorus.sampling import random_deck, random_morphism, random_realization
 from nvtorus.wreath import Permutation, WreathElement, cycle_of
 
-from helpers import brute_force_torsion_witness, naive_power
+from helpers import (
+    box_affine_data,
+    box_check_necessary,
+    brute_force_torsion_witness,
+    naive_power,
+)
 
 
 def positive_affine_morphism():
@@ -432,3 +439,59 @@ def test_affine_data_does_not_need_the_condition():
     matrix, points = affine_data(translated_morphism(3))
     assert matrix == ratmat([[1, 0], [0, 0]])
     assert points == (ratvec([0, 0]),) * 3
+
+
+# -- coset scan against the box sweep ------------------------------------------------
+
+
+def _assert_matches_box_sweep(psi):
+    assert check_necessary(psi) == box_check_necessary(psi)
+    for component, _ in decompose(psi):
+        assert affine_data(component) == box_affine_data(component)
+
+
+def test_coset_scan_matches_box_sweep():
+    rng = random.Random(2024)
+    for trial in range(400):
+        k = rng.randint(1, 3)
+        if trial % 2:
+            psi = random_morphism(rng, k, rng.randint(1, 6), irreducible=True)
+        else:
+            n = rng.randint(2, 6)
+            psi = random_morphism(rng, k, n)
+            while index_orbits(psi).irreducible:
+                psi = random_morphism(rng, k, n)
+        _assert_matches_box_sweep(psi)
+
+
+def test_coset_scan_matches_box_sweep_on_large_realizations():
+    rng = random.Random(16)
+    for _ in range(2):
+        _, _, psi = random_realization(rng, 4, 16)
+        _assert_matches_box_sweep(psi)
+
+
+def test_coset_scan_work_is_bounded_by_the_cosets(monkeypatch):
+    # G = Z/16 acting on itself, e_j adding g_j; A z = (g . z / 16, 0, 0, 0)
+    # is integral only on the stabilizer, so the spec is affine.  The box of
+    # permutation orders has 16^4 - 1 vectors, the quotient 15 nonzero cosets.
+    k, n, gens = 4, 16, (1, 3, 5, 7)
+    perms = tuple(
+        Permutation(tuple((x + g) % n + 1 for x in range(n))) for g in gens
+    )
+    matrix = [[Fraction(g, n) for g in gens]] + [[0] * k for _ in range(k - 1)]
+    points = [(Fraction(-x, n), 0, 0, 0) for x in range(n)]
+    psi = induced_morphism(AffineRealization(k, n, matrix, points), perms)
+    calls = []
+    original = morphisms.evaluate
+
+    def counting(phi, z):
+        calls.append(z)
+        return original(phi, z)
+
+    monkeypatch.setattr(morphisms, "evaluate", counting)
+    monkeypatch.setattr(affine, "evaluate", counting)
+    verdict = decide_affine_irreducible(psi)
+    assert verdict.outcome is Outcome.AFFINE
+    assert diagnose_realization(verdict.realization, psi) is None
+    assert len(calls) <= n + 4 * k

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from nvtorus.errors import DimensionMismatch, Inconsistent, Singular
 from nvtorus.lattices import (
     INFINITE,
+    coset_transversal,
     hnf,
     integer_kernel,
     lattice_contains,
@@ -178,3 +179,46 @@ def test_solve_and_inverse_agree(rows):
 def test_mat_det_non_square():
     with pytest.raises(DimensionMismatch):
         mat_det([[1, 2, 3], [4, 5, 6]])
+
+
+def test_coset_transversal_of_a_small_lattice():
+    lattice = hnf([(2, 1), (0, 3)], 2)
+    assert coset_transversal(lattice) == [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2)]
+
+
+def test_coset_transversal_rejects_infinite_index():
+    with pytest.raises(Singular):
+        coset_transversal(hnf([(1, 2)], 2))
+
+
+@given(st.integers(0, 10_000))
+@settings(max_examples=60)
+def test_coset_transversal_properties(seed):
+    import itertools
+    import random
+
+    rng = random.Random(seed)
+    k = rng.randint(1, 3)
+    generators = [
+        tuple(rng.randint(0, 3) for _ in range(k)) for _ in range(rng.randint(0, 3))
+    ]
+    generators += [
+        tuple(rng.randint(1, 4) if c == j else 0 for c in range(k)) for j in range(k)
+    ]
+    lattice = hnf(generators, k)
+    transversal = coset_transversal(lattice)
+    assert len(transversal) == lattice_index(lattice)
+    assert transversal == sorted(transversal)
+    for a, b in itertools.combinations(transversal, 2):
+        assert not lattice_contains(lattice, tuple(x - y for x, y in zip(a, b)))
+    # the box of the orders of the basis vectors modulo the lattice
+    orders = [
+        next(m for m in itertools.count(1) if lattice_contains(lattice, (0,) * j + (m,) + (0,) * (k - j - 1)))
+        for j in range(k)
+    ]
+    for z in itertools.product(*(range(o) for o in orders)):
+        (reduced,) = [
+            t for t in transversal
+            if lattice_contains(lattice, tuple(x - y for x, y in zip(z, t)))
+        ]
+        assert reduced <= z

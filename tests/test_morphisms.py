@@ -340,3 +340,12 @@ def test_decompose_returns_the_same_components():
     first, second = decompose(psi), decompose(psi)
     assert len(first) == 3
     assert all(a[0] is b[0] for a, b in zip(first, second))
+
+
+def test_irreducible_component_starts_with_the_analysis_of_psi():
+    psi = rotation_morphism(3, 2)
+    linear_part(psi, 2)
+    ((component, _),) = decompose(psi)
+    assert index_orbits(component) is index_orbits(psi)
+    assert stabilizer(component, 2) is stabilizer(psi, 2)
+    assert linear_part(component, 2) is linear_part(psi, 2)
